@@ -8,6 +8,8 @@ package anc
 import (
 	"fmt"
 	"math"
+
+	"mute/internal/dsp"
 )
 
 // LMSConfig configures an adaptive FIR filter.
@@ -39,6 +41,15 @@ func (c LMSConfig) Validate() error {
 		return fmt.Errorf("anc: leak %g outside [0, 1)", c.Leak)
 	}
 	return nil
+}
+
+// leakFactor returns the per-update weight leak 1 − Leak·Mu, or exactly 1
+// without leakage.
+func (c LMSConfig) leakFactor() float64 {
+	if c.Leak > 0 {
+		return 1 - c.Leak*c.Mu
+	}
+	return 1
 }
 
 // AdaptiveFilter is a causal transversal adaptive filter with LMS/NLMS
@@ -74,26 +85,10 @@ func (f *AdaptiveFilter) Push(x float64) {
 	}
 }
 
-// Output computes the current filter output y(t) = Σ w[k] x(t-k).
+// Output computes the current filter output y(t) = Σ w[k] x(t-k), summed
+// in the tap kernels' canonical order (see dsp.Dot).
 func (f *AdaptiveFilter) Output() float64 {
-	w, x := f.w, f.x
-	if len(x) < len(w) {
-		return 0
-	}
-	var y float64
-	// Unrolled with one accumulator and sequential adds — bit-identical to
-	// the rolled dot product, minus most loop overhead and bounds checks.
-	k := 0
-	for ; k+3 < len(w); k += 4 {
-		y += w[k] * x[k]
-		y += w[k+1] * x[k+1]
-		y += w[k+2] * x[k+2]
-		y += w[k+3] * x[k+3]
-	}
-	for ; k < len(w); k++ {
-		y += w[k] * x[k]
-	}
-	return y
+	return dsp.Dot(f.w, f.x)
 }
 
 // Adapt applies one LMS update with error e: w[k] += µ' e x(t-k), where µ'
@@ -104,37 +99,10 @@ func (f *AdaptiveFilter) Adapt(e float64) {
 	if f.cfg.Normalized {
 		mu /= f.pow + 1e-8
 	}
-	muE := mu * e
-	w, x := f.w, f.x
-	if len(x) < len(w) {
-		return
-	}
-	if f.cfg.Leak > 0 {
-		// The leak branch is hoisted out of the tap loop; per-tap arithmetic
-		// is unchanged, so the weights stay bit-identical.
-		leak := 1 - f.cfg.Leak*f.cfg.Mu
-		k := 0
-		for ; k+3 < len(w); k += 4 {
-			w[k] = w[k]*leak + muE*x[k]
-			w[k+1] = w[k+1]*leak + muE*x[k+1]
-			w[k+2] = w[k+2]*leak + muE*x[k+2]
-			w[k+3] = w[k+3]*leak + muE*x[k+3]
-		}
-		for ; k < len(w); k++ {
-			w[k] = w[k]*leak + muE*x[k]
-		}
-		return
-	}
-	k := 0
-	for ; k+3 < len(w); k += 4 {
-		w[k] += muE * x[k]
-		w[k+1] += muE * x[k+1]
-		w[k+2] += muE * x[k+2]
-		w[k+3] += muE * x[k+3]
-	}
-	for ; k < len(w); k++ {
-		w[k] += muE * x[k]
-	}
+	// w·leak + (µ'e)·x is computed as w·leak − (−µ'e)·x: negating a factor
+	// and subtracting the negated product are both exact, so the weights
+	// are the same bits as the direct form.
+	dsp.Update(f.w, f.x, f.cfg.leakFactor(), -(mu * e))
 }
 
 // Step pushes x, computes the prediction y, adapts toward desired d, and

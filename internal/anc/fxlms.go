@@ -2,7 +2,6 @@ package anc
 
 import (
 	"fmt"
-	"math"
 
 	"mute/internal/dsp"
 )
@@ -30,7 +29,7 @@ type FxLMS struct {
 	sec    *dsp.StreamConvolver
 	fxPow  float64
 	xPow   float64
-	errVar float64 // running residual variance for robust update clipping
+	errVar float64 // running residual variance for dsp.ClipResidual
 }
 
 // NewFxLMS creates the conventional-ANC baseline. secPathEst is the
@@ -75,47 +74,17 @@ func (f *FxLMS) Push(x float64) {
 	}
 }
 
-// AntiNoise computes the current anti-noise output α(t) = Σ w[k] x(t-k).
+// AntiNoise computes the current anti-noise output α(t) = Σ w[k] x(t-k),
+// summed in the tap kernels' canonical order (see dsp.Dot).
 func (f *FxLMS) AntiNoise() float64 {
-	w := f.w
-	x := f.x[f.p : f.p+len(w)]
-	var y float64
-	// Unrolled with one accumulator and sequential adds — bit-identical to
-	// the rolled dot product.
-	k := 0
-	for ; k+3 < len(w); k += 4 {
-		y += w[k] * x[k]
-		y += w[k+1] * x[k+1]
-		y += w[k+2] * x[k+2]
-		y += w[k+3] * x[k+3]
-	}
-	for ; k < len(w); k++ {
-		y += w[k] * x[k]
-	}
-	return y
+	return dsp.Dot(f.w, f.x[f.p:])
 }
 
 // Adapt applies the filtered-x LMS update given the measured residual
 // error e(t) from the error microphone (Equation 7, causal taps only):
 // w[k] -= µ e(t) fx(t-k).
 func (f *FxLMS) Adapt(e float64) {
-	// Robust clipping: bound impulsive residuals (hammer strikes, clicks)
-	// to a few standard deviations of recent history so one transient
-	// cannot kick the weights out of the stability region.
-	f.errVar = 0.998*f.errVar + 0.002*e*e
-	// Pre-filter before the exact check: clipping requires e² > 9·errVar up
-	// to a relative rounding error of a few ulps, so when e² ≤ 8.99·errVar
-	// no clip was possible and the per-sample sqrt is skipped. The inner
-	// comparison is unchanged, keeping the clip decision bit-identical.
-	if e*e > 8.99*f.errVar {
-		if limit := 3 * math.Sqrt(f.errVar); limit > 0 && (e > limit || e < -limit) {
-			if e > 0 {
-				e = limit
-			} else {
-				e = -limit
-			}
-		}
-	}
+	e = dsp.ClipResidual(e, &f.errVar)
 	mu := f.cfg.Mu
 	if f.cfg.Normalized {
 		// Regularized NLMS. The raw reference power enters the
@@ -125,36 +94,9 @@ func (f *FxLMS) Adapt(e float64) {
 		// power alone would be tiny there while the gradient noise is not.
 		mu /= f.fxPow + 0.05*f.xPow + 1e-3
 	}
-	// The leak branch is hoisted out of the tap loop and mu*e is folded
-	// once; per-tap arithmetic keeps the original association
-	// ((mu*e)*fx[k]), so the weights stay bit-identical to the rolled loop.
-	muE := mu * e
-	w := f.w
-	fx := f.fx[f.p : f.p+len(w)]
-	if f.cfg.Leak > 0 {
-		leak := 1 - f.cfg.Leak*f.cfg.Mu
-		k := 0
-		for ; k+3 < len(w); k += 4 {
-			w[k] = w[k]*leak - muE*fx[k]
-			w[k+1] = w[k+1]*leak - muE*fx[k+1]
-			w[k+2] = w[k+2]*leak - muE*fx[k+2]
-			w[k+3] = w[k+3]*leak - muE*fx[k+3]
-		}
-		for ; k < len(w); k++ {
-			w[k] = w[k]*leak - muE*fx[k]
-		}
-		return
-	}
-	k := 0
-	for ; k+3 < len(w); k += 4 {
-		w[k] -= muE * fx[k]
-		w[k+1] -= muE * fx[k+1]
-		w[k+2] -= muE * fx[k+2]
-		w[k+3] -= muE * fx[k+3]
-	}
-	for ; k < len(w); k++ {
-		w[k] -= muE * fx[k]
-	}
+	// Per tap: w·leak − (mu·e)·fx, each product rounded on its own; leak 1
+	// (no leakage) leaves the weight term exact.
+	dsp.Update(f.w, f.fx[f.p:], f.cfg.leakFactor(), mu*e)
 }
 
 // Weights returns a copy of h_AF.

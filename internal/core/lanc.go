@@ -18,7 +18,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"mute/internal/dsp"
 	"mute/internal/profile"
@@ -140,12 +140,17 @@ func (c *Config) Validate() error {
 type LANC struct {
 	cfg Config
 
-	// Weights: w[i] holds h_AF(k) with k = i - N, i ∈ [0, N+L].
+	// Weights in window order: w[j] holds h_AF(k) with k = L − j, so tap j
+	// multiplies the reference at window offset j − L of the oldest-first
+	// view [−L, +N] and every tap kernel walks taps and samples forward.
+	// The public Weights/SetWeights order (index i = k + N) is the reverse.
 	w []float64
-	// skip is the number of most-future taps (lowest k, lowest i) currently
-	// held at zero by LimitNonCausal. The invariant w[:skip] == 0 lets
-	// AntiNoise read the full window unchanged; only the update loops and
-	// cached-filter loads have to respect it. Zero in normal operation.
+	// skip is the number of most-future taps (lowest k, highest j) currently
+	// held at zero by LimitNonCausal. The active taps are the prefix
+	// w[:len(w)-skip]: the fused step, AntiNoise and Adapt all run their
+	// kernels over that same prefix, so the canonical summation order (and
+	// therefore every bit) agrees between them; w[len(w)-skip:] stays zero.
+	// Zero in normal operation.
 	skip int
 
 	// Reference and filtered-x windows. Both expose offsets
@@ -162,7 +167,7 @@ type LANC struct {
 	xPow     float64
 	powAge   int     // pushes since the last exact rescan
 	powEvery int     // rescan cadence in samples
-	errVar   float64 // running residual variance for robust update clipping
+	errVar   float64 // running residual variance for dsp.ClipResidual
 
 	// Loss-aware state (Config.LossAware). concealGuard counts the samples
 	// for which a concealed (zero-filled) reference still sits inside the
@@ -365,43 +370,23 @@ func (l *LANC) rescanPower() {
 }
 
 // AntiNoise returns the anti-noise sample α(t) = Σ_{k=-N}^{L} h_AF(k) x(t−k)
-// (Equation 8). The caller plays it through the anti-noise speaker.
+// (Equation 8), summed over the active taps in the tap kernels' canonical
+// order (see dsp.Dot). The caller plays it through the anti-noise speaker.
 func (l *LANC) AntiNoise() float64 {
-	// Tap i holds k = i - N, so x(t-k) walks the window [-L, +N] backwards:
-	// one contiguous reversed dot product instead of per-tap At() calls.
-	xv := l.xBuf.View(-l.cfg.CausalTaps, l.cfg.NonCausalTaps)
-	w := l.w
-	base := len(w) - 1
-	var a float64
-	// Unrolled with sequential adds into one accumulator: bit-identical to
-	// the rolled dot product (see StepMasked).
-	i := 0
-	for ; i+3 < len(w); i += 4 {
-		k := base - i
-		a += w[i] * xv[k]
-		a += w[i+1] * xv[k-1]
-		a += w[i+2] * xv[k-2]
-		a += w[i+3] * xv[k-3]
-	}
-	for ; i < len(w); i++ {
-		a += w[i] * xv[base-i]
-	}
-	return a
+	n := l.active()
+	return dsp.Dot(l.w[:n], l.xBuf.View(-l.cfg.CausalTaps, l.cfg.NonCausalTaps)[:n])
 }
 
-// clipError applies the robust residual clipping: impulsive residuals
-// (hammer strikes, clicks) carry gradients far outside the LMS stability
-// region; limit the error to a few standard deviations of its recent
-// history (Huber-style).
-func (l *LANC) clipError(e float64) float64 {
-	l.errVar = 0.998*l.errVar + 0.002*e*e
-	if limit := 3 * math.Sqrt(l.errVar); limit > 0 && (e > limit || e < -limit) {
-		if e > 0 {
-			return limit
-		}
-		return -limit
+// active returns how many leading (window-order) taps are live.
+func (l *LANC) active() int { return len(l.w) - l.skip }
+
+// leak returns the per-update weight leak factor; 1 (exactly) without
+// Config.Leak, which makes the leaky update the plain LMS one bit for bit.
+func (l *LANC) leak() float64 {
+	if l.cfg.Leak > 0 {
+		return 1 - l.cfg.Leak*l.cfg.Mu
 	}
-	return e
+	return 1
 }
 
 // effectiveMu returns the step size after NLMS power normalization.
@@ -430,42 +415,15 @@ func (l *LANC) Adapt(e float64) {
 	if gain == 0 {
 		return
 	}
-	e = l.clipError(e)
+	e = dsp.ClipResidual(e, &l.errVar)
 	muE := l.effectiveMu() * e * gain
 	// A stale error (ErrorDelay > 0) pairs with the equally stale
-	// filtered-x history: tap i needs (ĥ_se ∗ x) at offset N-i-ErrorDelay,
-	// i.e. the window below walked backwards. Taps disabled by
-	// LimitNonCausal stay out of the update (and at zero).
+	// filtered-x history: tap j needs (ĥ_se ∗ x) at window offset
+	// j − L − ErrorDelay. Taps disabled by LimitNonCausal stay out of the
+	// update (and at zero).
+	n := l.active()
 	fxv := l.fxBuf.View(-l.cfg.CausalTaps-l.cfg.ErrorDelay, l.cfg.NonCausalTaps-l.cfg.ErrorDelay)
-	ww := l.w[l.skip:]
-	fxs := fxv[:len(fxv)-l.skip]
-	base := len(ww) - 1
-	if l.cfg.Leak > 0 {
-		leak := 1 - l.cfg.Leak*l.cfg.Mu
-		i := 0
-		for ; i+3 < len(ww); i += 4 {
-			k := base - i
-			ww[i] = ww[i]*leak - muE*fxs[k]
-			ww[i+1] = ww[i+1]*leak - muE*fxs[k-1]
-			ww[i+2] = ww[i+2]*leak - muE*fxs[k-2]
-			ww[i+3] = ww[i+3]*leak - muE*fxs[k-3]
-		}
-		for ; i < len(ww); i++ {
-			ww[i] = ww[i]*leak - muE*fxs[base-i]
-		}
-		return
-	}
-	i := 0
-	for ; i+3 < len(ww); i += 4 {
-		k := base - i
-		ww[i] -= muE * fxs[k]
-		ww[i+1] -= muE * fxs[k-1]
-		ww[i+2] -= muE * fxs[k-2]
-		ww[i+3] -= muE * fxs[k-3]
-	}
-	for ; i < len(ww); i++ {
-		ww[i] -= muE * fxs[base-i]
-	}
+	dsp.Update(l.w[:n], fxv, l.leak(), muE)
 }
 
 // Step is the fused per-sample fast path used by the simulator and simple
@@ -493,72 +451,18 @@ func (l *LANC) StepMasked(xNew, ePrev float64, real bool) float64 {
 		}
 		return a
 	}
-	e := l.clipError(ePrev)
+	e := dsp.ClipResidual(ePrev, &l.errVar)
 	muE := l.effectiveMu() * e * gain
 	l.noteMask(real)
 	l.pushSignal(xNew)
 	// Post-push, every pre-push sample sits one slot deeper; the buffers'
 	// extra history slot keeps the oldest gradient sample addressable.
-	// Slicing off the LimitNonCausal skip leaves the active suffix with the
-	// same tap↔sample pairing; at skip == 0 these are the full windows and
-	// the loop below is the unchanged fast path.
+	// The kernel runs over the active prefix (see skip), so the update and
+	// the anti-noise sum match Adapt followed by AntiNoise bit for bit.
+	n := l.active()
 	fxv := l.fxBuf.View(-l.cfg.CausalTaps-l.cfg.ErrorDelay-1, l.cfg.NonCausalTaps-l.cfg.ErrorDelay-1)
 	xv := l.xBuf.View(-l.cfg.CausalTaps, l.cfg.NonCausalTaps)
-	ww := l.w[l.skip:]
-	fxs := fxv[:len(fxv)-l.skip]
-	xs := xv[:len(xv)-l.skip]
-	base := len(ww) - 1
-	var a float64
-	// Both tap loops below are unrolled 4× with a single accumulator and
-	// strictly sequential adds: the floating-point evaluation order per tap
-	// is exactly the rolled loop's, so the output is bit-identical while the
-	// wider body drops most bounds checks and loop overhead.
-	if l.cfg.Leak > 0 {
-		leak := 1 - l.cfg.Leak*l.cfg.Mu
-		i := 0
-		for ; i+3 < len(ww); i += 4 {
-			k := base - i
-			wi := ww[i]*leak - muE*fxs[k]
-			ww[i] = wi
-			a += wi * xs[k]
-			wi = ww[i+1]*leak - muE*fxs[k-1]
-			ww[i+1] = wi
-			a += wi * xs[k-1]
-			wi = ww[i+2]*leak - muE*fxs[k-2]
-			ww[i+2] = wi
-			a += wi * xs[k-2]
-			wi = ww[i+3]*leak - muE*fxs[k-3]
-			ww[i+3] = wi
-			a += wi * xs[k-3]
-		}
-		for ; i < len(ww); i++ {
-			wi := ww[i]*leak - muE*fxs[base-i]
-			ww[i] = wi
-			a += wi * xs[base-i]
-		}
-	} else {
-		i := 0
-		for ; i+3 < len(ww); i += 4 {
-			k := base - i
-			wi := ww[i] - muE*fxs[k]
-			ww[i] = wi
-			a += wi * xs[k]
-			wi = ww[i+1] - muE*fxs[k-1]
-			ww[i+1] = wi
-			a += wi * xs[k-1]
-			wi = ww[i+2] - muE*fxs[k-2]
-			ww[i+2] = wi
-			a += wi * xs[k-2]
-			wi = ww[i+3] - muE*fxs[k-3]
-			ww[i+3] = wi
-			a += wi * xs[k-3]
-		}
-		for ; i < len(ww); i++ {
-			wi := ww[i] - muE*fxs[base-i]
-			ww[i] = wi
-			a += wi * xs[base-i]
-		}
-	}
+	a := dsp.UpdateDot(l.w[:n], fxv, xv, l.leak(), muE)
 	if l.cfg.Profiling {
 		if l.profileStep(xNew) {
 			// A cached filter was swapped in for this very sample; the
@@ -572,8 +476,8 @@ func (l *LANC) StepMasked(xNew, ePrev float64, real bool) float64 {
 // Weights returns a copy of h_AF indexed so that Weights()[i] is the tap
 // for k = i − NonCausalTaps.
 func (l *LANC) Weights() []float64 {
-	out := make([]float64, len(l.w))
-	copy(out, l.w)
+	out := slices.Clone(l.w)
+	slices.Reverse(out)
 	return out
 }
 
@@ -584,6 +488,7 @@ func (l *LANC) SetWeights(w []float64) error {
 		return fmt.Errorf("core: weight length %d != %d", len(w), len(l.w))
 	}
 	copy(l.w, w)
+	slices.Reverse(l.w)
 	l.zeroSkipped()
 	return nil
 }
@@ -611,12 +516,10 @@ func (l *LANC) LimitNonCausal(n int) {
 // (N unless LimitNonCausal shrank the window).
 func (l *LANC) ActiveNonCausal() int { return l.cfg.NonCausalTaps - l.skip }
 
-// zeroSkipped re-establishes the w[:skip] == 0 invariant after bulk weight
-// loads.
+// zeroSkipped re-establishes the invariant that disabled taps are zero
+// after bulk weight loads.
 func (l *LANC) zeroSkipped() {
-	for i := 0; i < l.skip; i++ {
-		l.w[i] = 0
-	}
+	clear(l.w[l.active():])
 }
 
 // NonCausalTaps returns N.

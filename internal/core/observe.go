@@ -1,5 +1,7 @@
 package core
 
+import "mute/internal/dsp"
+
 // Read-only observability accessors for the telemetry layer. Every method
 // here is a pure read of adaptation state: calling them any number of
 // times, at any point in the sample loop, changes nothing about the
@@ -10,13 +12,7 @@ package core
 // TapEnergy returns Σ h_AF(k)², the energy of the adaptive filter — a
 // cheap scalar proxy for "how converged is the filter" that telemetry
 // samples per block.
-func (l *LANC) TapEnergy() float64 {
-	var e float64
-	for _, w := range l.w {
-		e += w * w
-	}
-	return e
-}
+func (l *LANC) TapEnergy() float64 { return dsp.Dot(l.w, l.w) }
 
 // EffectiveStep returns the step size the next Adapt would use after NLMS
 // power normalization (before the loss gain is applied).

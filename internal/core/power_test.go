@@ -61,35 +61,72 @@ func TestIncrementalPowerTracksBruteForce(t *testing.T) {
 
 // TestStepMatchesSequentialCalls verifies the fused Step is bit-identical
 // to the documented Adapt → Push → AntiNoise sequence, including with
-// leakage, error delay, and NLMS normalization active.
+// leakage, error delay, and NLMS normalization active. The limited cases
+// shrink the non-causal window with LimitNonCausal to widths n ≢ N (mod 4),
+// where the active tap prefix and the full window split differently into
+// kernel lanes, and re-widen it halfway; the frozen cases hold adaptation
+// (gain 0, the anti-noise-only path) and ramp it back, once by an explicit
+// hold and once through loss-aware concealment.
 func TestStepMatchesSequentialCalls(t *testing.T) {
-	cases := []Config{
-		{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true,
-			SecondaryPath: []float64{0.8, 0.3, 0.1}},
-		{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true, Leak: 0.0005,
-			SecondaryPath: []float64{0.8, 0.3, 0.1}},
-		{NonCausalTaps: 8, CausalTaps: 32, Mu: 0.02, Normalized: true, Leak: 0.0005, ErrorDelay: 5,
-			SecondaryPath: []float64{0.8, 0.3, 0.1}},
-		{NonCausalTaps: 12, CausalTaps: 24, Mu: 0.01,
-			SecondaryPath: []float64{1, 0.2}},
+	type seqCase struct {
+		cfg Config
+		// limits, when set, are applied with LimitNonCausal at sample 0 and
+		// sample 2500.
+		limits []int
+		// frozen holds adaptation for 200 samples every 1500.
+		frozen bool
+		// conceal marks every 700th sample (and the 9 after it) concealed.
+		conceal bool
 	}
-	for ci, cfg := range cases {
-		fused, err := New(cfg)
+	cases := []seqCase{
+		{cfg: Config{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}},
+		{cfg: Config{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true, Leak: 0.0005,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}},
+		{cfg: Config{NonCausalTaps: 8, CausalTaps: 32, Mu: 0.02, Normalized: true, Leak: 0.0005, ErrorDelay: 5,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}},
+		{cfg: Config{NonCausalTaps: 12, CausalTaps: 24, Mu: 0.01,
+			SecondaryPath: []float64{1, 0.2}}},
+		{cfg: Config{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}, limits: []int{13, 2}},
+		{cfg: Config{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true, Leak: 0.0005,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}, limits: []int{5, 16}},
+		{cfg: Config{NonCausalTaps: 8, CausalTaps: 32, Mu: 0.02, Normalized: true, Leak: 0.0005, ErrorDelay: 5,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}, limits: []int{3, 6}},
+		{cfg: Config{NonCausalTaps: 12, CausalTaps: 24, Mu: 0.01,
+			SecondaryPath: []float64{1, 0.2}}, limits: []int{7, 1}, frozen: true},
+		{cfg: Config{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true, Leak: 0.0005,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}, frozen: true},
+		{cfg: Config{NonCausalTaps: 16, CausalTaps: 48, Mu: 0.05, Normalized: true, LossAware: true,
+			SecondaryPath: []float64{0.8, 0.3, 0.1}}, limits: []int{11, 14}, conceal: true},
+	}
+	for ci, c := range cases {
+		fused, err := New(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := New(cfg)
+		seq, err := New(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := audio.NewRNG(uint64(ci) + 3)
 		errRng := audio.NewRNG(uint64(ci) + 91)
 		for i := 0; i < 5000; i++ {
+			if len(c.limits) > 0 && (i == 0 || i == 2500) {
+				n := c.limits[i/2500]
+				fused.LimitNonCausal(n)
+				seq.LimitNonCausal(n)
+			}
+			if c.frozen && i%1500 == 1000 {
+				fused.HoldAdaptation(200, 100)
+				seq.HoldAdaptation(200, 100)
+			}
+			real := !c.conceal || i%700 >= 10
 			x := rng.Norm()
 			e := 0.3 * errRng.Norm()
-			aFused := fused.Step(x, e)
+			aFused := fused.StepMasked(x, e, real)
 			seq.Adapt(e)
-			seq.Push(x)
+			seq.PushMasked(x, real)
 			aSeq := seq.AntiNoise()
 			if aFused != aSeq {
 				t.Fatalf("case %d sample %d: fused %0.17g != sequential %0.17g",

@@ -1,5 +1,7 @@
 package dsp
 
+import "slices"
+
 // Convolve returns the full linear convolution of x and h
 // (length len(x)+len(h)-1). It picks the direct or FFT algorithm based on
 // the problem size.
@@ -95,7 +97,10 @@ func CrossCorrelate(a, b []float64) []float64 {
 // All overlap-save scratch is owned by the struct, so the steady-state block
 // path performs no allocation when driven through ProcessBlockInto.
 type StreamConvolver struct {
-	h    []float64
+	// hr is the impulse response reversed (hr[j] = h[len(h)-1-j]), so it
+	// pairs index by index with the oldest-first history window and the
+	// tap kernel walks both forward.
+	hr   []float64
 	hist []float64 // double-write ring, len == 2*len(h)
 	pos  int       // write cursor in [0, len(h))
 
@@ -117,37 +122,27 @@ const olsMinKernel = 96
 // NewStreamConvolver builds a streaming convolver for impulse response h.
 // A nil or empty h behaves as a zero channel (output always 0).
 func NewStreamConvolver(h []float64) *StreamConvolver {
-	hc := make([]float64, len(h))
-	copy(hc, h)
-	return &StreamConvolver{h: hc, hist: make([]float64, 2*len(h))}
+	return &StreamConvolver{hr: reversed(h), hist: make([]float64, 2*len(h))}
+}
+
+// reversed returns a reversed copy of h.
+func reversed(h []float64) []float64 {
+	out := slices.Clone(h)
+	slices.Reverse(out)
+	return out
 }
 
 // Process consumes one input sample and returns the convolved output sample.
 func (s *StreamConvolver) Process(x float64) float64 {
-	m := len(s.h)
+	m := len(s.hr)
 	if m == 0 {
 		return 0
 	}
 	s.hist[s.pos] = x
 	s.hist[s.pos+m] = x
-	// The mirrored slot makes hist[pos+m-j] = x[t-j] for all j in [0, m).
-	win := s.hist[s.pos+1 : s.pos+m+1 : s.pos+m+1]
-	h := s.h
-	n1 := m - 1
-	var acc float64
-	// Unrolled with a single accumulator and sequential adds: the summation
-	// order is exactly the original tap loop's, so the output bits match.
-	j := 0
-	for ; j+3 < m; j += 4 {
-		k := n1 - j
-		acc += h[j] * win[k]
-		acc += h[j+1] * win[k-1]
-		acc += h[j+2] * win[k-2]
-		acc += h[j+3] * win[k-3]
-	}
-	for ; j < m; j++ {
-		acc += h[j] * win[n1-j]
-	}
+	// The mirrored slot makes hist[pos+1 : pos+m+1] the last m inputs,
+	// oldest first: exactly the order of the reversed taps.
+	acc := Dot(s.hr, s.hist[s.pos+1:s.pos+m+1])
 	s.pos++
 	if s.pos == m {
 		s.pos = 0
@@ -173,7 +168,7 @@ func (s *StreamConvolver) ProcessBlockInto(out, x []float64) {
 	if len(out) != len(x) {
 		panic("dsp: StreamConvolver.ProcessBlockInto length mismatch")
 	}
-	if len(s.h) >= olsMinKernel && len(x) >= 2*len(s.h) {
+	if len(s.hr) >= olsMinKernel && len(x) >= 2*len(s.hr) {
 		s.processOverlapSave(out, x)
 		return
 	}
@@ -187,13 +182,13 @@ func (s *StreamConvolver) ensurePlan() {
 	if s.fftH != nil {
 		return
 	}
-	n := NextPow2(4 * len(s.h))
+	n := NextPow2(4 * len(s.hr))
 	if n < 1024 {
 		n = 1024
 	}
 	s.fftN = n
-	s.step = n - (len(s.h) - 1)
-	s.fftH = FFTReal(s.h, n)
+	s.step = n - (len(s.hr) - 1)
+	s.fftH = FFTReal(reversed(s.hr), n)
 	s.plan = PlanFFT(n)
 	s.seg = make([]complex128, n)
 }
@@ -205,7 +200,7 @@ func (s *StreamConvolver) ensurePlan() {
 // replaces len(h) multiplies per sample.
 func (s *StreamConvolver) processOverlapSave(out, x []float64) {
 	s.ensurePlan()
-	m := len(s.h)
+	m := len(s.hr)
 	overlap := m - 1
 	// ext = [last m-1 inputs, x...] so segment b sees the history it needs.
 	if cap(s.ext) < overlap+len(x) {
@@ -259,8 +254,4 @@ func (s *StreamConvolver) Reset() {
 }
 
 // Taps returns a copy of the impulse response.
-func (s *StreamConvolver) Taps() []float64 {
-	out := make([]float64, len(s.h))
-	copy(out, s.h)
-	return out
-}
+func (s *StreamConvolver) Taps() []float64 { return reversed(s.hr) }
